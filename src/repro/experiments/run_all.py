@@ -19,7 +19,7 @@ Usage::
     python -m repro.experiments.run_all --list        # enumerate harnesses
                                                       #   and their sweep tags
     python -m repro.experiments.run_all --kernel c    # force a cycle kernel
-                                        # (event, soa, naive or c) for every
+                                        # (event, naive or c) for every
                                         # harness via REPRO_KERNEL; all
                                         # kernels are bit-identical, so this
                                         # changes wall-clock only
@@ -45,6 +45,7 @@ line reports elapsed wall-clock and the ETA for the remaining harnesses
 
 from __future__ import annotations
 
+import argparse
 import sys
 import time
 
@@ -196,19 +197,72 @@ def _export_observability(directory: str, fast: bool) -> None:
     print(f"  wrote {manifest_path}")
 
 
-def _pop_flag_with_value(argv: list, flag: str):
-    """Remove ``flag VALUE`` from argv; returns (value, argv) or raises."""
-    index = argv.index(flag)
-    if index + 1 >= len(argv):
-        raise ValueError(f"{flag} needs a value argument")
-    return argv[index + 1], argv[:index] + argv[index + 2:]
+def _positive_int(value: str) -> int:
+    try:
+        number = int(value)
+    except ValueError:
+        number = 0
+    if number < 1:
+        raise argparse.ArgumentTypeError(
+            f"needs a positive integer, got {value!r}"
+        )
+    return number
 
 
-def _configure_exec(argv: list):
+def _parser() -> argparse.ArgumentParser:
+    from repro.noc.config import NetworkConfig
+
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.experiments.run_all",
+        description="Regenerate the paper's tables and figures "
+        "(all harnesses unless some are named).",
+    )
+    parser.add_argument(
+        "harnesses", nargs="*", metavar="HARNESS",
+        help=f"harnesses to run, from: {', '.join(HARNESSES)}",
+    )
+    parser.add_argument(
+        "--full", action="store_true",
+        help="paper scale instead of the reduced fast scale",
+    )
+    parser.add_argument(
+        "--kernel", choices=NetworkConfig.KERNELS,
+        help="force a cycle kernel for every harness (via REPRO_KERNEL)",
+    )
+    parser.add_argument(
+        "--list", action="store_true",
+        help="list the harnesses and their sweep tags, then exit",
+    )
+    parser.add_argument(
+        "--csv", metavar="DIR", help="also export CSVs into DIR",
+    )
+    parser.add_argument(
+        "--obs", metavar="DIR",
+        help="run the observability demo and export its artifacts to DIR",
+    )
+    parser.add_argument(
+        "--submit", metavar="URL",
+        help="ship sweeps to a repro.serve job server",
+    )
+    parser.add_argument(
+        "--jobs", type=_positive_int, metavar="N",
+        help="run sweep points over N worker processes",
+    )
+    parser.add_argument(
+        "--no-cache", action="store_true", help="always resimulate",
+    )
+    parser.add_argument(
+        "--resume", action="store_true",
+        help="report the durable store's journal progress, then continue",
+    )
+    return parser
+
+
+def _configure_exec(args: argparse.Namespace):
     """Apply ``--jobs N`` / ``--no-cache`` / ``--resume`` to the engine.
 
-    Returns ``(argv, resume_store)`` where ``resume_store`` is the
-    durable store path when ``--resume`` was given (else ``None``).
+    Returns ``resume_store``, the durable store path when ``--resume``
+    was given (else ``None``).
     Everything this prints goes to stderr: the harness tables on stdout
     must stay byte-identical whatever the execution backend.
 
@@ -221,19 +275,9 @@ def _configure_exec(argv: list):
     from repro.exec.store import is_store_path
     from repro.obs.profiler import make_progress_printer
 
-    jobs = None
-    if "--jobs" in argv:
-        value, argv = _pop_flag_with_value(argv, "--jobs")
-        jobs = int(value)
-        if jobs < 1:
-            raise ValueError(f"--jobs needs a positive integer, got {value}")
-    cache_dir = default_cache_dir()
-    if "--no-cache" in argv:
-        argv = [a for a in argv if a != "--no-cache"]
-        cache_dir = None
+    cache_dir = None if args.no_cache else default_cache_dir()
     resume_store = None
-    if "--resume" in argv:
-        argv = [a for a in argv if a != "--resume"]
+    if args.resume:
         if cache_dir is None:
             raise ValueError("--resume needs the cache; drop --no-cache")
         if is_store_path(cache_dir):
@@ -244,18 +288,18 @@ def _configure_exec(argv: list):
             resume_store = os.path.join(cache_dir, "sweeps.sqlite")
         cache_dir = resume_store
     configure(
-        jobs=jobs,
+        jobs=args.jobs,
         cache_dir=cache_dir,
         # No captured stream: the printer resolves sys.stderr per print,
         # so the installed default keeps working after redirection.
         progress=make_progress_printer(),
     )
     print(
-        f"[exec] jobs={jobs or 'default'} "
+        f"[exec] jobs={args.jobs or 'default'} "
         f"cache={cache_dir if cache_dir is not None else 'off'}",
         file=sys.stderr,
     )
-    return argv, resume_store
+    return resume_store
 
 
 def _report_resume(store_path, names: list) -> dict:
@@ -326,59 +370,40 @@ def _list_harnesses() -> int:
 
 
 def main(argv: list) -> int:
-    fast = "--full" not in argv
-    if "--kernel" in argv:
-        import os
-
-        from repro.noc.config import NetworkConfig
-
-        try:
-            value, argv = _pop_flag_with_value(argv, "--kernel")
-        except ValueError as exc:
-            print(exc)
-            return 2
-        if value not in NetworkConfig.KERNELS:
-            print(
-                f"--kernel must be one of {list(NetworkConfig.KERNELS)}, "
-                f"got {value!r}"
-            )
-            return 2
-        # REPRO_KERNEL reaches every network the harnesses (and any
-        # --jobs worker processes) construct; the harness tables stay
-        # byte-identical because all kernels are bit-identical.
-        os.environ["REPRO_KERNEL"] = value
-    if "--list" in argv:
-        return _list_harnesses()
-    csv_dir = None
-    obs_dir = None
-    submit_url = None
     try:
-        if "--csv" in argv:
-            csv_dir, argv = _pop_flag_with_value(argv, "--csv")
-        if "--obs" in argv:
-            obs_dir, argv = _pop_flag_with_value(argv, "--obs")
-        if "--submit" in argv:
-            submit_url, argv = _pop_flag_with_value(argv, "--submit")
-        argv, resume_store = _configure_exec(argv)
-    except ValueError as exc:
-        print(exc)
-        return 2
-    if submit_url is not None:
-        from repro.serve.client import ServeClient, ServeError, install_submit
-
-        try:
-            ServeClient(submit_url).health()
-        except (ServeError, ValueError) as exc:
-            print(f"--submit {submit_url}: {exc}")
-            return 2
-        install_submit(submit_url, client="run_all")
-        print(f"[exec] submitting sweeps to {submit_url}", file=sys.stderr)
-    selected = [a for a in argv if not a.startswith("-")]
-    names = selected or list(HARNESSES)
+        args = _parser().parse_intermixed_args(argv)
+    except SystemExit as exc:  # --help (0) or a usage error (2)
+        return exc.code
+    fast = not args.full
+    names = args.harnesses or list(HARNESSES)
     unknown = [n for n in names if n not in HARNESSES]
     if unknown:
         print(f"unknown experiments: {unknown}; choose from {sorted(HARNESSES)}")
         return 2
+    if args.kernel is not None:
+        import os
+
+        # REPRO_KERNEL reaches every network the harnesses (and any
+        # --jobs worker processes) construct; the harness tables stay
+        # byte-identical because all kernels are bit-identical.
+        os.environ["REPRO_KERNEL"] = args.kernel
+    if args.list:
+        return _list_harnesses()
+    try:
+        resume_store = _configure_exec(args)
+    except ValueError as exc:
+        print(exc)
+        return 2
+    if args.submit is not None:
+        from repro.serve.client import ServeClient, ServeError, install_submit
+
+        try:
+            ServeClient(args.submit).health()
+        except (ServeError, ValueError) as exc:
+            print(f"--submit {args.submit}: {exc}")
+            return 2
+        install_submit(args.submit, client="run_all")
+        print(f"[exec] submitting sweeps to {args.submit}", file=sys.stderr)
     if resume_store is not None:
         resume_report = _report_resume(resume_store, names)
         _write_resume_manifest(resume_store, resume_report)
@@ -397,10 +422,10 @@ def main(argv: list) -> int:
             HARNESSES[name](fast)
         finally:
             configure(sweep_tag=None)
-        if csv_dir and name in _EXPORTABLE:
+        if args.csv and name in _EXPORTABLE:
             from repro.experiments.export import export_experiment
 
-            written = export_experiment(name, _EXPORTABLE[name](fast), csv_dir)
+            written = export_experiment(name, _EXPORTABLE[name](fast), args.csv)
             for path in written:
                 print(f"  wrote {path}")
         elapsed = time.time() - suite_start
@@ -411,11 +436,11 @@ def main(argv: list) -> int:
             f"{done + 1}/{len(names)} harnesses, {elapsed:.1f} s elapsed, "
             f"ETA {eta:.0f} s]\n"
         )
-    if obs_dir:
+    if args.obs:
         print("=" * 72)
         print("observability export")
         print("=" * 72)
-        _export_observability(obs_dir, fast)
+        _export_observability(args.obs, fast)
     return 0
 
 

@@ -206,20 +206,18 @@ class NetworkConfig:
             a single flit per cycle like narrow ones.
         kernel: which cycle kernel drives :meth:`Network.step` --
             ``"event"`` (the event-driven active-set kernel, default),
-            ``"soa"`` (the structure-of-arrays batch kernel, which falls
-            back to the event kernel whenever faults, observation hooks
-            or dynamic routing require the per-flit object datapath),
-            ``"c"`` (the compiled kernel of ``repro.noc.ckernel``: the
-            soa layout stepped by an on-demand-built C shared object;
-            degrades to ``soa`` when no C compiler is available, and to
-            ``event`` under the same conditions as ``soa``) or
-            ``"naive"`` (the retained full-scan reference stepper).  All
-            four are bit-identical; see ``repro.noc.soa`` and
-            ``repro.noc.ckernel``.  Overridable per process with
-            ``REPRO_KERNEL``.
+            ``"c"`` (the compiled kernel of ``repro.noc.ckernel``: flat
+            arrays stepped by an on-demand-built C shared object; it
+            falls back to ``event`` when it cannot activate -- no C
+            compiler, sub-cycle credit/link delays, more than 62 ports
+            or VCs -- and whenever faults, observation hooks, a
+            watchdog, a profiler or dynamic routing require the
+            per-flit object datapath) or ``"naive"`` (the retained
+            full-scan reference stepper).  All three are bit-identical.
+            Overridable per process with ``REPRO_KERNEL``.
     """
 
-    KERNELS = ("event", "soa", "naive", "c")
+    KERNELS = ("event", "naive", "c")
 
     router_pipeline_stages: int = 2
     link_delay: int = 1

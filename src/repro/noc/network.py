@@ -29,19 +29,21 @@ added on every ``write_flit``/``enqueue`` and pruned when a drained member
 is next visited -- and they are always iterated in ascending id order with
 the same per-element guards as a full scan, which makes the kernel
 bit-identical to the naive all-routers walk.  That naive walk is retained
-as :meth:`Network._step_naive` (select it with ``REPRO_NAIVE_STEP=1`` or
-``network.naive_step = True``) and serves as the differential-testing
-reference for the event kernel.
+as :meth:`Network._step_naive` (select it with ``kernel="naive"``,
+``REPRO_KERNEL=naive`` or ``network.use_kernel("naive")``) and serves as
+the differential-testing reference for the event kernel.
 
-A third kernel -- the structure-of-arrays batch kernel of
-:mod:`repro.noc.soa` -- is selected with ``NetworkConfig(kernel="soa")``,
-``REPRO_KERNEL=soa`` or ``network.use_kernel("soa")``.  It simulates the
-same microarchitecture over flat arrays and bitmasks, is bit-identical to
-both object-model kernels, and *falls back to the event kernel
-automatically* whenever faults, observation hooks, a watchdog, a profiler
-or a dynamic routing discipline require the per-flit object datapath; the
-fallback is re-evaluated every cycle, so attaching or detaching such a
-subsystem mid-run simply switches kernels at the next step.
+The third kernel -- the compiled C kernel of :mod:`repro.noc.ckernel` --
+is selected with ``NetworkConfig(kernel="c")``, ``REPRO_KERNEL=c`` or
+``network.use_kernel("c")``.  It simulates the same microarchitecture over
+flat arrays and bitmasks, is bit-identical to both object-model kernels,
+and *falls back to the event kernel automatically*: for good when it
+cannot activate (no C compiler, sub-cycle credit/link delays, a router
+wider than 62 ports or VCs; warned once per process), and for as long as
+faults, observation hooks, a watchdog, a profiler or a dynamic routing
+discipline require the per-flit object datapath.  The latter fallback is
+re-evaluated every cycle, so attaching or detaching such a subsystem
+mid-run simply switches kernels at the next step.
 """
 
 from __future__ import annotations
@@ -153,11 +155,8 @@ class Network:
         #: zero hook calls and zero per-event attribute probes).
         self._tracing = False
         # -- kernel selection --------------------------------------------
-        # REPRO_NAIVE_STEP=1 (the original switch) takes precedence, then
-        # REPRO_KERNEL, then the config field.
+        # REPRO_KERNEL takes precedence over the config field.
         kernel = os.environ.get("REPRO_KERNEL") or self.config.kernel
-        if os.environ.get("REPRO_NAIVE_STEP") == "1":
-            kernel = "naive"
         if kernel not in NetworkConfig.KERNELS:
             raise ValueError(
                 f"unknown kernel {kernel!r}; expected one of "
@@ -165,24 +164,18 @@ class Network:
             )
         #: whether the retained naive (full-scan) stepper is selected.
         self._naive = kernel == "naive"
-        #: whether the structure-of-arrays batch kernel is requested;
-        #: eligibility is (re)checked every step so faults/obs/watchdog/
-        #: profiler attachment falls back to the event kernel.
-        self._soa_requested = kernel == "soa"
-        #: the live :class:`repro.noc.soa.SoaKernel`, or ``None`` when the
-        #: object-model kernels are driving.
-        self._soa = None
-        #: whether the compiled (C) kernel is requested; it shares the soa
-        #: kernel's eligibility rules and degrades to soa when the shared
-        #: library cannot be built or loaded.
+        #: whether the compiled (C) kernel is requested; eligibility is
+        #: (re)checked every step so faults/obs/watchdog/profiler
+        #: attachment falls back to the event kernel.
         self._ck_requested = kernel == "c"
-        #: the live :class:`repro.noc.ckernel.CKernel`, or ``None``.
+        #: the live :class:`repro.noc.ckernel.CKernel`, or ``None`` when
+        #: the object-model kernels are driving.
         self._ck = None
         #: set after a failed compiled-kernel activation so the (warned)
-        #: soa fallback does not retry the build every cycle.
+        #: event fallback does not retry the build every cycle.
         self._ck_blocked = False
         #: whether precomputed route tables *and* default-VA tables are
-        #: installed (the soa kernel's routing precondition).
+        #: installed (the compiled kernel's routing precondition).
         self._route_tables_ok = False
 
         # -- prebuilt hot-path structures (hoisted out of the cycle loop) --
@@ -282,7 +275,6 @@ class Network:
         if not routers:
             return
         self._deactivate_ck()
-        self._deactivate_soa()
         tables = None
         if not self._naive and self.faults is None:
             tables = self._routing.build_route_tables()
@@ -320,39 +312,20 @@ class Network:
         self._install_routing_tables()
 
     @property
-    def naive_step(self) -> bool:
-        """Whether the retained full-scan reference stepper is selected."""
-        return self._naive
-
-    @naive_step.setter
-    def naive_step(self, naive: bool) -> None:
-        if naive:
-            self.use_kernel("naive")
-        elif self._naive:
-            self.use_kernel("event")
-
-    @property
     def kernel(self) -> str:
-        """The selected cycle kernel: ``"event"``, ``"soa"``, ``"naive"``
-        or ``"c"``.
+        """The selected cycle kernel: ``"event"``, ``"naive"`` or ``"c"``.
 
-        Note this is the *requested* kernel; a requested ``"soa"`` or
-        ``"c"`` still steps through the event kernel whenever faults,
-        observation hooks, a watchdog, a profiler or dynamic routing are
-        attached, and ``"c"`` degrades to the soa datapath when no C
-        compiler is available (see :attr:`active_kernel`).
+        Note this is the *requested* kernel; a requested ``"c"`` still
+        steps through the event kernel whenever faults, observation
+        hooks, a watchdog, a profiler or dynamic routing are attached,
+        or when the compiled kernel cannot activate (see
+        :attr:`active_kernel`).  Switch it with :meth:`use_kernel`.
         """
         if self._naive:
             return "naive"
         if self._ck_requested:
             return "c"
-        if self._soa_requested:
-            return "soa"
         return "event"
-
-    @kernel.setter
-    def kernel(self, name: str) -> None:
-        self.use_kernel(name)
 
     def use_kernel(self, name: str) -> None:
         """Switch the cycle kernel mid-run (bit-identical hand-off)."""
@@ -362,10 +335,8 @@ class Network:
                 f"{NetworkConfig.KERNELS}"
             )
         self._deactivate_ck()
-        self._deactivate_soa()
         was_naive = self._naive
         self._naive = name == "naive"
-        self._soa_requested = name == "soa"
         self._ck_requested = name == "c"
         if self._ck_requested:
             # An explicit re-request gets a fresh activation attempt
@@ -376,41 +347,20 @@ class Network:
             self._install_routing_tables()
 
     @property
-    def soa_active(self) -> bool:
-        """Whether the soa batch kernel is currently driving the cycle."""
-        return self._soa is not None
-
-    @property
     def active_kernel(self) -> str:
         """The kernel *actually driving* the cycle right now.
 
         Unlike :attr:`kernel` (the request), this reflects the fallback
-        ladder: ``"c"`` while the compiled kernel is live, ``"soa"``
-        while the batch kernel is live, otherwise the object-model
-        kernel that would step (``"naive"`` or ``"event"``).
+        ladder: ``"c"`` while the compiled kernel is live, otherwise the
+        object-model kernel that would step (``"naive"`` or ``"event"``).
         """
         if self._ck is not None:
             return "c"
-        if self._soa is not None:
-            return "soa"
         return "naive" if self._naive else "event"
-
-    def _activate_soa(self):
-        from repro.noc.soa import SoaKernel
-
-        kernel = SoaKernel(self)
-        self._soa = kernel
-        return kernel
-
-    def _deactivate_soa(self) -> None:
-        kernel = getattr(self, "_soa", None)
-        if kernel is not None:
-            kernel.sync()
-            self._soa = None
 
     def _activate_ck(self):
         """Try to bring up the compiled kernel; on failure warn once and
-        return ``None`` (the caller then steps the soa kernel)."""
+        return ``None`` (the caller then steps the event kernel)."""
         from repro.noc.ckernel import (
             CKernel,
             CKernelUnavailable,
@@ -434,25 +384,20 @@ class Network:
             self._ck = None
 
     def sync_kernel(self) -> None:
-        """Mirror batch-kernel state back into the Router objects.
+        """Mirror compiled-kernel state back into the object model.
 
-        No-op unless the soa kernel is live.  Callers that inspect router
-        internals mid-run (tests, diagnostics) should call this first;
-        the shared structures (flit queues, stats, activity counters,
-        event buckets, sources) are always current.
+        No-op unless the compiled kernel is live.  Callers that inspect
+        router internals, queues or event buckets mid-run (tests,
+        diagnostics) should call this first.
         """
         if self._ck is not None:
             self._ck.sync()
-        elif self._soa is not None:
-            self._soa.sync()
 
     def wake_router(self, router_id: int) -> None:
         """Mark a router active (for callers that write flits directly)."""
         self._active_routers.add(router_id)
         if self._ck is not None:
             self._ck.wake(router_id)
-        elif self._soa is not None:
-            self._soa.actmask |= 1 << router_id
 
     def wake_source(self, node: int) -> None:
         """Mark a source node active (for callers that bypass enqueue)."""
@@ -464,7 +409,6 @@ class Network:
         """Attach observation hooks (an :class:`repro.obs.hooks.Observer`)
         to the network and all its routers."""
         self._deactivate_ck()
-        self._deactivate_soa()
         self.obs = observer
         self._tracing = observer is not None
         for router in self.routers:
@@ -500,7 +444,6 @@ class Network:
         """Attach a deadlock/livelock watchdog (read-only: cannot change
         simulation results)."""
         self._deactivate_ck()
-        self._deactivate_soa()
         self.watchdog = watchdog
 
     def detach_watchdog(self) -> None:
@@ -511,8 +454,6 @@ class Network:
         utilization and power cover exactly the window."""
         if self._ck is not None:
             self._ck.flush_activity()
-        elif self._soa is not None:
-            self._soa.flush_activity()
         self._activity_snapshot = [r.activity.snapshot() for r in self.routers]
         self.measuring = True
 
@@ -520,8 +461,6 @@ class Network:
         """Close the window and freeze its activity deltas into the stats."""
         if self._ck is not None:
             self._ck.flush_activity()
-        elif self._soa is not None:
-            self._soa.flush_activity()
         self.measuring = False
         snapshot = getattr(self, "_activity_snapshot", None)
         if snapshot is None:
@@ -544,8 +483,6 @@ class Network:
         self._stats.router_activity = [r.activity for r in self.routers]
         if self._ck is not None:
             self._ck.reload_activities()
-        elif self._soa is not None:
-            self._soa.reload_activities()
 
     def make_packet(
         self,
@@ -619,15 +556,14 @@ class Network:
         """
         if self.profiler is not None:
             self._deactivate_ck()
-            self._deactivate_soa()
             self._step_profiled()
             return
         if self._naive:
             self._step_naive()
             return
-        if self._soa_requested or self._ck_requested:
-            # Per-step eligibility: the batch kernels need precomputed
-            # route/VA tables and step aside for any subsystem that needs
+        if self._ck_requested and not self._ck_blocked:
+            # Per-step eligibility: the compiled kernel needs precomputed
+            # route/VA tables and steps aside for any subsystem that needs
             # the per-flit object datapath (faults, obs, watchdog).
             if (
                 self.faults is None
@@ -635,22 +571,16 @@ class Network:
                 and self.watchdog is None
                 and self._route_tables_ok
             ):
-                if self._ck_requested and not self._ck_blocked:
-                    kernel = self._ck
-                    if kernel is None:
-                        kernel = self._activate_ck()
-                    if kernel is not None:
-                        kernel.step()
-                        return
-                    # Activation failed (no compiler, bad shape): warned
-                    # once, _ck_blocked set -- degrade to the soa datapath.
-                kernel = self._soa
+                kernel = self._ck
                 if kernel is None:
-                    kernel = self._activate_soa()
-                kernel.step()
-                return
-            self._deactivate_ck()
-            self._deactivate_soa()
+                    kernel = self._activate_ck()
+                if kernel is not None:
+                    kernel.step()
+                    return
+                # Activation failed (no compiler, bad shape): warned
+                # once, _ck_blocked set -- step the event kernel.
+            else:
+                self._deactivate_ck()
         cycle = self.cycle
         if self.faults is not None:
             self.faults.tick(self, cycle)
@@ -1120,7 +1050,6 @@ class Network:
         is a no-op.
         """
         self._deactivate_ck()
-        self._deactivate_soa()
         pid = packet.packet_id
         topo = self.topology
         found = False
@@ -1264,8 +1193,6 @@ class Network:
     def total_buffered_flits(self) -> int:
         if self._ck is not None:
             return self._ck.total_buffered_flits()
-        if self._soa is not None:
-            return self._soa.total_buffered_flits()
         return sum(router.occupied_flits for router in self.routers)
 
     def describe(self) -> str:

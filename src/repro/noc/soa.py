@@ -1,58 +1,31 @@
-"""Structure-of-arrays batch cycle kernel.
+"""Structure-of-arrays codec: the compiled kernel's flat state.
 
-The third cycle kernel (the fastest *pure-Python* one — the compiled
-``c`` kernel in :mod:`repro.noc.ckernel` runs the same walk over these
-arrays natively), selected with ``NetworkConfig(kernel="soa")`` or
-``REPRO_KERNEL=soa``.  Where the
-event-driven kernel walks :class:`~repro.noc.router.Router` objects and
-their per-VC ``_VCState`` records, this kernel flattens the entire
-router microarchitecture into parallel arrays and bitmasks:
+:class:`SoaCodec` flattens the router microarchitecture into the
+parallel integer arrays and bitmasks that the compiled ``c`` kernel
+(:mod:`repro.noc.ckernel`, ``_ckernel.c``) steps.  It never steps
+itself; it only packs the state out of the
+:class:`~repro.noc.router.Router` objects and syncs it back:
 
 * per-lane scalar state -- the head packet id, routed output port and
   allocated downstream VC of every ``(router, port, vc)`` input lane --
   lives in flat lists indexed by ``(router * P + port) * V + vc``;
-* per-port virtual-channel *bitmasks* (occupied lanes, allocated lanes,
-  credit-available downstream VCs) turn the switch-allocation
-  eligibility scan into a handful of integer operations, and round-robin
-  arbitration into a rotate-and-count-trailing-zeros;
-* the active-router and active-port sets are single integers walked in
-  ascending bit order, replacing the event kernel's per-cycle
-  ``sorted(set)``;
-* routing and VC-candidate lookups come from the precomputed tensors of
+* per-port virtual-channel *bitmasks* hold the occupied lanes, the
+  allocated lanes and the credit-available downstream VCs;
+* the active-router set is a single integer, and each router's active
+  lanes an insertion-ordered dict;
+* routing lookups come from the precomputed tensors of
   :meth:`repro.noc.routing.Routing.build_route_tables` (assembled here
   with numpy and flattened for O(1) scalar access);
-* a per-lane *needs-VA* flag, maintained at every head-of-queue change,
-  lets the kernel skip the route-computation/VC-allocation walk for
-  routers whose lanes are all mid-wormhole -- the event kernel revisits
-  every active lane every cycle;
-* per-router micro-event counters accumulate in flat delta arrays and
-  flush into the shared :class:`~repro.noc.stats.RouterActivity`
-  objects on :meth:`sync`/:meth:`flush_activity` (measurement
-  boundaries flush automatically, so activity-derived results never
-  observe a stale counter).
+* a per-lane *needs-VA* flag marks lanes whose head flit still needs
+  route computation or VC allocation.
 
 The flit queues themselves, the :class:`~repro.noc.flit.Flit` and
 :class:`~repro.noc.flit.Packet` objects, the source-queue states, the
 stats dictionaries and the event buckets are *shared* with the object
-model -- the kernel mutates them in place.  Packing therefore only
-snapshots scalar state out of the ``Router`` objects, and unpacking
-writes the identical values back, which is what makes mid-run kernel
-switches (and the per-cycle digests of the differential suite) exact.
-
-Bit-for-bit contract: every simulation observable -- flit movements,
-arbitration pointer evolution, credit counters, activity counters,
-latency records, delivered-packet order -- is identical to the
-event-driven and naive kernels.  ``tests/test_kernel_differential.py``
-enforces this over a randomized three-way matrix, and the golden-run
-suite pins byte-identical :class:`~repro.exec.point.PointResult`
-payloads across all three kernels.
-
-Fallback rules (handled by :meth:`Network.step` dispatch): the kernel
-requires the precomputed route/VA tables (pure-function routing
-disciplines such as X-Y and the flattened butterfly), and steps aside
-for the event kernel whenever faults, observation hooks, a watchdog or
-a profiler are attached -- those need per-flit callbacks or dynamic
-routing that the batch datapath deliberately omits.
+model.  Packing therefore only snapshots scalar state out of the
+``Router`` objects, and :meth:`SoaCodec.sync` writes the identical values
+back, which is what makes mid-run kernel switches (and the per-cycle
+digests of the differential suite) exact.
 """
 
 from __future__ import annotations
@@ -62,12 +35,12 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 
-class SoaKernel:
-    """Flattened simulation state plus the batch step loop.
+class SoaCodec:
+    """Flattened simulation state of one network.
 
-    Built lazily by :class:`~repro.noc.network.Network` when the soa
-    kernel is requested and eligible; :meth:`sync` mirrors the flat
-    state back into the ``Router`` objects at any cycle boundary.
+    Built by :class:`~repro.noc.ckernel.CKernel` on activation;
+    :meth:`sync` mirrors the flat state back into the ``Router`` objects
+    at any cycle boundary.
     """
 
     def __init__(self, net) -> None:
@@ -93,8 +66,7 @@ class SoaKernel:
                     self.ej_pmask[rid] |= 1 << port
 
         # Routing tensor: route_tab[rid][dst] -> out port, assembled as
-        # one (R, num_nodes) numpy array then flattened to lists for
-        # scalar access on the cycle loop.
+        # one (R, num_nodes) numpy array then flattened to lists.
         table = np.array(
             [r._route_table for r in routers], dtype=np.int64
         )
@@ -136,7 +108,6 @@ class SoaKernel:
                 states = r._vc_states[port]
                 for vc in range(r.config.num_vcs):
                     self.queues[lane + vc] = states[vc].queue
-        self.activities = [r.activity for r in routers]
 
         # -- packed scalar state (filled by pack()) ---------------------
         self.st_pid = [-1] * (RP * V)    # -1 == None
@@ -157,78 +128,9 @@ class SoaKernel:
         self.active_lanes: List[Dict[int, bool]] = [dict() for _ in range(R)]
         self.actmask = 0
 
-        # -- activity counter deltas (flushed into RouterActivity) ------
-        self.a_bw = [0] * R   # buffer_writes
-        self.a_br = [0] * R   # buffer_reads
-        self.a_xb = [0] * R   # crossbar_traversals
-        self.a_rc = [0] * R   # route_computations
-        self.a_va = [0] * R   # vc_allocations
-        self.a_arb = [0] * R  # arbitrations
-        self.a_cf = [0] * R   # arbitration_conflicts
-        self.a_cs = [0] * R   # credit_stalls
-        self.a_mg = [0] * R   # merged_flit_pairs
-        self.a_oc = [0] * R   # occupancy_integral
-
-        # -- reusable per-cycle scratch (avoids hot-path allocation) ----
-        self._grants: List[tuple] = []
-        self._bid_vc = [-1] * P
-        self._bid_ports: List[int] = []
-        self._obid = [0] * P
-        self._out_order: List[int] = []
-        self._elig_mask = [0] * P
-
         self.pack()
 
     # -- state transfer ----------------------------------------------------
-    def reload_activities(self) -> None:
-        """Re-fetch the RouterActivity objects and drop pending deltas
-        (``reset_stats`` replaces the objects to zero the counters)."""
-        self.activities = [r.activity for r in self.net.routers]
-        for arr in (
-            self.a_bw, self.a_br, self.a_xb, self.a_rc, self.a_va,
-            self.a_arb, self.a_cf, self.a_cs, self.a_mg, self.a_oc,
-        ):
-            for i in range(self.R):
-                arr[i] = 0
-
-    def flush_activity(self) -> None:
-        """Add the accumulated counter deltas to the shared
-        RouterActivity objects and zero the delta arrays."""
-        a_bw, a_br, a_xb = self.a_bw, self.a_br, self.a_xb
-        a_rc, a_va, a_arb = self.a_rc, self.a_va, self.a_arb
-        a_cf, a_cs, a_mg, a_oc = self.a_cf, self.a_cs, self.a_mg, self.a_oc
-        for rid, act in enumerate(self.activities):
-            if a_bw[rid]:
-                act.buffer_writes += a_bw[rid]
-                a_bw[rid] = 0
-            if a_br[rid]:
-                act.buffer_reads += a_br[rid]
-                a_br[rid] = 0
-            if a_xb[rid]:
-                act.crossbar_traversals += a_xb[rid]
-                a_xb[rid] = 0
-            if a_rc[rid]:
-                act.route_computations += a_rc[rid]
-                a_rc[rid] = 0
-            if a_va[rid]:
-                act.vc_allocations += a_va[rid]
-                a_va[rid] = 0
-            if a_arb[rid]:
-                act.arbitrations += a_arb[rid]
-                a_arb[rid] = 0
-            if a_cf[rid]:
-                act.arbitration_conflicts += a_cf[rid]
-                a_cf[rid] = 0
-            if a_cs[rid]:
-                act.credit_stalls += a_cs[rid]
-                a_cs[rid] = 0
-            if a_mg[rid]:
-                act.merged_flit_pairs += a_mg[rid]
-                a_mg[rid] = 0
-            if a_oc[rid]:
-                act.occupancy_integral += a_oc[rid]
-                a_oc[rid] = 0
-
     def pack(self) -> None:
         """Snapshot scalar state out of the Router objects."""
         net = self.net
@@ -291,14 +193,12 @@ class SoaKernel:
         self.actmask = 0
         for rid in net._active_routers:
             self.actmask |= 1 << rid
-        self.reload_activities()
 
     def sync(self) -> None:
         """Mirror the flat state back into the Router objects.
 
-        Exact inverse of :meth:`pack` plus an activity flush; queue
-        contents, stats, sources and event buckets are shared so only
-        scalars move.
+        Exact inverse of :meth:`pack`; queue contents, stats, sources
+        and event buckets are shared so only scalars move.
         """
         net = self.net
         P, V = self.P, self.V
@@ -338,488 +238,3 @@ class SoaKernel:
         net._active_routers = {
             rid for rid in range(self.R) if self.actmask >> rid & 1
         }
-        self.flush_activity()
-
-    # -- the batch cycle ---------------------------------------------------
-    def step(self) -> None:
-        """One clock cycle over the flattened state.
-
-        Phase order, bucket formats and iteration orders replicate the
-        event-driven kernel exactly (see ``Network.step``); every
-        divergence would show in the differential suite's digests.
-        """
-        net = self.net
-        cycle = net.cycle
-        P, V = self.P, self.V
-        queues = self.queues
-        st_pid, st_route, st_outvc = self.st_pid, self.st_route, self.st_outvc
-        need, nva = self.need, self.nva
-        cred, owner = self.cred, self.owner
-        occ_mask, am, credok = self.occ_mask, self.am, self.credok
-        occupied = self.occupied
-        active_lanes = self.active_lanes
-        ej_pmask = self.ej_pmask
-        route_tab = self.route_tab
-        ovc_cnt = self.ovc_cnt
-        depth = self.depth
-        po = net.config.router_pipeline_stages - 1
-        arrivals = net._arrivals
-        credits_q = net._credits
-        a_bw = self.a_bw
-
-        # -- phase 1: link arrivals scheduled for this cycle ------------
-        events = arrivals.pop(cycle, None)
-        if events is not None:
-            actmask = self.actmask
-            ready = cycle + po
-            for rid, port, vc, flit in events:
-                rp = rid * P + port
-                lane = rp * V + vc
-                q = queues[lane]
-                if len(q) >= depth[rid]:
-                    raise RuntimeError(
-                        f"buffer overflow at router {rid} "
-                        f"port {port} vc {vc}: credit protocol violated"
-                    )
-                flit.ready_at = ready
-                if not q:
-                    occ_mask[rp] |= 1 << vc
-                    active_lanes[rid][lane] = True
-                    if st_pid[lane] != flit.packet.packet_id or (
-                        st_outvc[lane] == -2
-                    ):
-                        if not need[lane]:
-                            need[lane] = 1
-                            nva[rid] += 1
-                q.append(flit)
-                occupied[rid] += 1
-                a_bw[rid] += 1
-                actmask |= 1 << rid
-            self.actmask = actmask
-
-        # -- phase 2: credit returns ------------------------------------
-        events = credits_q.pop(cycle, None)
-        if events is not None:
-            ceil = self.ceil
-            for rid, port, vc, release in events:
-                rp = rid * P + port
-                lane = rp * V + vc
-                c = cred[lane] + 1
-                if c > ceil[rp]:
-                    raise RuntimeError(
-                        f"credit overflow at router {rid} port {port} vc {vc}"
-                    )
-                cred[lane] = c
-                credok[rp] |= 1 << vc
-                if release:
-                    owner[lane] = -1
-
-        # -- phase 3: injection from active sources ---------------------
-        active_sources = net._active_sources
-        if active_sources:
-            sources = net.sources
-            node_rid = net._node_router_id
-            node_port = net._node_port
-            node_lanes = net._node_lanes
-            nvcs = self.nvcs
-            actmask = self.actmask
-            ready = cycle + po
-            for node in sorted(active_sources):
-                source = sources[node]
-                if source.next_flit >= len(source.flits) and not source.queue:
-                    active_sources.discard(node)
-                    continue
-                rid = node_rid[node]
-                port = node_port[node]
-                lanes = node_lanes[node]
-                rp = rid * P + port
-                lane0 = rp * V
-                cap = depth[rid]
-                budget = lanes
-                while budget > 0:
-                    if source.next_flit >= len(source.flits):
-                        if not source.queue:
-                            break
-                        # -- pick an injection VC (idle preferred) ------
-                        vc = None
-                        fallback, fallback_free = None, 0
-                        for cand in range(nvcs[rid]):
-                            q = queues[lane0 + cand]
-                            free = cap - len(q)
-                            if free == 0:
-                                continue
-                            if not q and st_pid[lane0 + cand] == -1:
-                                vc = cand
-                                break
-                            if free > fallback_free:
-                                fallback, fallback_free = cand, free
-                        if vc is None:
-                            vc = fallback
-                        if vc is None:
-                            break
-                        packet = source.queue.popleft()
-                        source.flits = packet.make_flits()
-                        source.next_flit = 0
-                        source.vc = vc
-                        packet.injected_at = cycle
-                        packet.min_lanes = lanes
-                    vc = source.vc
-                    lane = lane0 + vc
-                    q = queues[lane]
-                    if len(q) >= cap:
-                        break
-                    flit = source.flits[source.next_flit]
-                    flit.ready_at = ready
-                    if not q:
-                        occ_mask[rp] |= 1 << vc
-                        active_lanes[rid][lane] = True
-                        if st_pid[lane] != flit.packet.packet_id or (
-                            st_outvc[lane] == -2
-                        ):
-                            if not need[lane]:
-                                need[lane] = 1
-                                nva[rid] += 1
-                    q.append(flit)
-                    occupied[rid] += 1
-                    a_bw[rid] += 1
-                    actmask |= 1 << rid
-                    source.next_flit += 1
-                    budget -= 1
-                    if source.next_flit >= len(source.flits):
-                        source.flits = []
-                        source.next_flit = 0
-                        source.vc = None
-            self.actmask = actmask
-
-        # -- phases 4+5: RC/VA, switch allocation, traversal ------------
-        # Routers are walked in ascending id order (the bitmask is the
-        # sorted active set); drained routers are pruned exactly as the
-        # event kernel prunes them.  VA for a router completes before
-        # its SA, and no same-cycle state crosses routers (arrivals and
-        # credits travel through the future-cycle buckets), so fusing
-        # the phases per router is bit-identical to the two-pass walk.
-        measuring = net.measuring
-        in_next, out_next, sec_next = self.in_next, self.out_next, self.sec_next
-        nports, nvcs = self.nports, self.nvcs
-        va_off = self.va_off
-        slanes, linkinfo, upstream = self.slanes, self.linkinfo, self.upstream
-        merging = net._merging
-        cd = net._credit_delay
-        grants = self._grants
-        bid_vc = self._bid_vc
-        bid_ports = self._bid_ports
-        obid = self._obid
-        out_order = self._out_order
-        elig_mask = self._elig_mask
-        stats = net._stats
-        link_flits = stats.link_flits
-        ej_lanes = self.ej_lanes
-        a_br, a_xb, a_rc = self.a_br, self.a_xb, self.a_rc
-        a_va, a_arb, a_cf = self.a_va, self.a_arb, self.a_cf
-        a_cs, a_mg, a_oc = self.a_cs, self.a_mg, self.a_oc
-        complete = net._complete_packet
-        m = self.actmask
-        while m:
-            low = m & -m
-            m ^= low
-            rid = low.bit_length() - 1
-            if not occupied[rid]:
-                self.actmask ^= low
-                continue
-            base = rid * P
-            ejp = ej_pmask[rid]
-            lanes_dict = active_lanes[rid]
-
-            # ---- RC + VC allocation (needy lanes only) ----------------
-            off = va_off[rid]
-            va_off[rid] = off + 1
-            needy = nva[rid]
-            if needy:
-                if needy == 1:
-                    # A single needy lane allocates identically wherever
-                    # the rotation starts: non-needy lanes neither read
-                    # nor write allocation state.  Skip the list build.
-                    order = ()
-                    for lane in lanes_dict:
-                        if need[lane]:
-                            order = (lane,)
-                            break
-                else:
-                    offset = off % len(lanes_dict)
-                    order = list(lanes_dict)
-                    if offset:
-                        order = order[offset:] + order[:offset]
-                rt = route_tab[rid]
-                for lane in order:
-                    if not need[lane]:
-                        continue
-                    q = queues[lane]
-                    if not q:
-                        continue
-                    flit = q[0]
-                    packet = flit.packet
-                    pid = packet.packet_id
-                    if st_pid[lane] != pid:
-                        if not flit.is_head:
-                            raise RuntimeError(
-                                f"wormhole violation at router {rid}: "
-                                f"body flit of packet {pid} at queue "
-                                "head without its head flit"
-                            )
-                        st_pid[lane] = pid
-                        st_route[lane] = rt[packet.dst]
-                        st_outvc[lane] = -2
-                        a_rc[rid] += 1
-                    if st_outvc[lane] != -2 or flit.ready_at > cycle:
-                        continue
-                    op = st_route[lane]
-                    if ejp >> op & 1:
-                        st_outvc[lane] = -1
-                        am[lane // V] |= 1 << (lane % V)
-                        need[lane] = 0
-                        nva[rid] -= 1
-                        continue
-                    if not flit.is_head:
-                        continue
-                    rp2 = base + op
-                    lane2 = rp2 * V
-                    for cvc in range(ovc_cnt[rp2]):
-                        if owner[lane2 + cvc] == -1:
-                            owner[lane2 + cvc] = pid
-                            st_outvc[lane] = cvc
-                            am[lane // V] |= 1 << (lane % V)
-                            a_va[rid] += 1
-                            need[lane] = 0
-                            nva[rid] -= 1
-                            break
-
-            # ---- switch allocation ------------------------------------
-            out_order.clear()
-            bid_ports.clear()
-            np_ = nports[rid]
-            nv = nvcs[rid]
-            wide = self.has_wide[rid]
-            for port in range(np_):
-                rp = base + port
-                em = occ_mask[rp] & am[rp]
-                if not em:
-                    continue
-                lane = rp * V
-                embit = 0
-                necount = 0
-                mm = em
-                while mm:
-                    lowv = mm & -mm
-                    mm ^= lowv
-                    vc = lowv.bit_length() - 1
-                    if queues[lane + vc][0].ready_at > cycle:
-                        continue
-                    op = st_route[lane + vc]
-                    if ejp >> op & 1:
-                        embit |= lowv
-                        necount += 1
-                    elif credok[base + op] >> st_outvc[lane + vc] & 1:
-                        embit |= lowv
-                        necount += 1
-                    else:
-                        a_cs[rid] += 1
-                if not embit:
-                    continue
-                if necount == 1:
-                    bid = embit.bit_length() - 1
-                    nxt = bid + 1
-                    in_next[rp] = nxt if nxt < nv else 0
-                else:
-                    nxt = in_next[rp]
-                    r = ((embit >> nxt) | (embit << (nv - nxt))) & (
-                        (1 << nv) - 1
-                    )
-                    bid = (nxt + (r & -r).bit_length() - 1) % nv
-                    nxt = bid + 1
-                    in_next[rp] = nxt if nxt < nv else 0
-                    a_cf[rid] += necount - 1
-                a_arb[rid] += 1
-                bid_vc[port] = bid
-                bid_ports.append(port)
-                if wide:
-                    elig_mask[port] = embit
-                op = st_route[lane + bid]
-                if not obid[op]:
-                    out_order.append(op)
-                obid[op] |= 1 << port
-            if out_order:
-                grants.clear()
-                for op in out_order:
-                    m2 = obid[op]
-                    obid[op] = 0
-                    rpo = base + op
-                    if not (m2 & (m2 - 1)):
-                        wp = m2.bit_length() - 1
-                        nxt = wp + 1
-                        out_next[rpo] = nxt if nxt < np_ else 0
-                    else:
-                        nxt = out_next[rpo]
-                        r = ((m2 >> nxt) | (m2 << (np_ - nxt))) & (
-                            (1 << np_) - 1
-                        )
-                        wp = (nxt + (r & -r).bit_length() - 1) % np_
-                        nxt = wp + 1
-                        out_next[rpo] = nxt if nxt < np_ else 0
-                        a_cf[rid] += m2.bit_count() - 1
-                    a_arb[rid] += 1
-                    wvc = bid_vc[wp]
-                    lane = (base + wp) * V + wvc
-                    q1 = queues[lane]
-                    is_ej = ejp >> op & 1
-                    gov = -1 if is_ej else st_outvc[lane]
-                    grants.append((wp, wvc, q1[0], op, gov))
-                    if not merging or slanes[rpo] < 2:
-                        continue
-                    # ---- second parallel arbiter (wide output) --------
-                    second = None
-                    if len(q1) > 1:
-                        nxt_f = q1[1]
-                        if (
-                            nxt_f.packet.packet_id == st_pid[lane]
-                            and nxt_f.ready_at <= cycle
-                        ):
-                            if not is_ej and cred[rpo * V + gov] >= 2:
-                                second = (wp, wvc, nxt_f, op, gov)
-                            elif is_ej:
-                                second = (wp, wvc, nxt_f, op, -1)
-                    if second is None:
-                        cand: Dict[int, int] = {}
-                        cm = elig_mask[wp] & ~(1 << wvc)
-                        lane0 = (base + wp) * V
-                        while cm:
-                            lowv = cm & -cm
-                            cm ^= lowv
-                            vc = lowv.bit_length() - 1
-                            if st_route[lane0 + vc] == op:
-                                cand[wp] = vc
-                                break
-                        for p2 in bid_ports:
-                            if p2 == wp:
-                                continue
-                            vcb = bid_vc[p2]
-                            if st_route[(base + p2) * V + vcb] == op:
-                                if p2 not in cand:
-                                    cand[p2] = vcb
-                        if cand:
-                            if len(cand) == 1:
-                                cp = next(iter(cand))
-                                nxt = cp + 1
-                                sec_next[rpo] = nxt if nxt < np_ else 0
-                            else:
-                                m3 = 0
-                                for p2 in cand:
-                                    m3 |= 1 << p2
-                                nxt = sec_next[rpo]
-                                r = ((m3 >> nxt) | (m3 << (np_ - nxt))) & (
-                                    (1 << np_) - 1
-                                )
-                                cp = (nxt + (r & -r).bit_length() - 1) % np_
-                                nxt = cp + 1
-                                sec_next[rpo] = nxt if nxt < np_ else 0
-                            a_arb[rid] += 1
-                            cvc = cand[cp]
-                            lane2 = (base + cp) * V + cvc
-                            second = (
-                                cp, cvc, queues[lane2][0], op,
-                                -1 if is_ej else st_outvc[lane2],
-                            )
-                    if second is not None:
-                        grants.append(second)
-                        a_mg[rid] += 1
-
-                # ---- switch traversal ---------------------------------
-                used_mask = 0
-                for ip, ivc, flit, op, gov in grants:
-                    rp_in = base + ip
-                    lane = rp_in * V + ivc
-                    q = queues[lane]
-                    popped = q.popleft()
-                    if popped is not flit:
-                        raise RuntimeError(
-                            "switch traversal popped an unexpected flit"
-                        )
-                    occupied[rid] -= 1
-                    a_br[rid] += 1
-                    a_xb[rid] += 1
-                    if not q:
-                        occ_mask[rp_in] &= ~(1 << ivc)
-                        del lanes_dict[lane]
-                    if gov >= 0:
-                        cidx = (base + op) * V + gov
-                        c = cred[cidx] - 1
-                        cred[cidx] = c
-                        if not c:
-                            credok[base + op] &= ~(1 << gov)
-                        elif c < 0:
-                            raise RuntimeError(
-                                f"negative credits at router {rid} "
-                                f"port {op} vc {gov}"
-                            )
-                    packet = flit.packet
-                    is_tail = flit.is_tail
-                    if ejp >> op & 1:
-                        if flit.is_head and packet.min_lanes is not None:
-                            el = ej_lanes[rid]
-                            if el < packet.min_lanes:
-                                packet.min_lanes = el
-                        if is_tail:
-                            complete(packet, cycle)
-                    else:
-                        drid, dport, delay, llanes = linkinfo[base + op]
-                        if flit.is_head:
-                            packet.hops += 1
-                            if packet.min_lanes is not None:
-                                width = llanes if merging else 1
-                                if width < packet.min_lanes:
-                                    packet.min_lanes = width
-                        when = cycle + delay
-                        bucket = arrivals.get(when)
-                        if bucket is None:
-                            bucket = arrivals[when] = []
-                        bucket.append((drid, dport, gov, flit))
-                        if measuring:
-                            used_mask |= 1 << op
-                            key = (rid, op)
-                            link_flits[key] = link_flits.get(key, 0) + 1
-                    if is_tail:
-                        st_pid[lane] = -1
-                        st_route[lane] = -1
-                        st_outvc[lane] = -2
-                        am[rp_in] &= ~(1 << ivc)
-                        if q and not need[lane]:
-                            need[lane] = 1
-                            nva[rid] += 1
-                    if not (ejp >> ip & 1):
-                        up = upstream[rp_in]
-                        if up is not None:
-                            when = cycle + cd
-                            bucket = credits_q.get(when)
-                            if bucket is None:
-                                bucket = credits_q[when] = []
-                            bucket.append((up[0], up[1], ivc, is_tail))
-                if used_mask:
-                    link_busy = stats.link_busy_cycles
-                    while used_mask:
-                        lowp = used_mask & -used_mask
-                        used_mask ^= lowp
-                        key = (rid, lowp.bit_length() - 1)
-                        link_busy[key] = link_busy.get(key, 0) + 1
-            # Occupancy after this router's own traversal equals the
-            # end-of-walk value: no other router mutates it this cycle.
-            if measuring:
-                a_oc[rid] += occupied[rid]
-
-        # -- phase 6: measurement bookkeeping ---------------------------
-        if measuring:
-            stats.measured_cycles += 1
-
-        net.cycle = cycle + 1
-
-    # -- diagnostics -------------------------------------------------------
-    def total_buffered_flits(self) -> int:
-        return sum(self.occupied)

@@ -8,6 +8,7 @@ arithmetic; the integration test runs the real CLI on the cheapest case.
 """
 
 import json
+import pathlib
 
 import pytest
 
@@ -154,15 +155,11 @@ class TestCliIntegration:
         with pytest.raises(ValueError, match="no-such-case"):
             run_suite(repeat=1, only=["no-such-case"])
 
-    def test_soa_kernel_runs_and_reports(self, run):
-        """--kernel soa adds a soa section to the history entry."""
-        code, out, history = run(
-            "--kernel", "soa", "--timestamp", "2026-08-08T00:00:00Z"
-        )
-        assert code == 0
-        assert "[soa] empty-4x4" in out
-        entry = json.loads(history.read_text())
-        assert entry["soa"]["empty-4x4"] > 0
+    def test_removed_soa_kernel_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--kernel", "soa", "--no-history"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'soa'" in capsys.readouterr().err
 
 
 class TestReadHistory:
@@ -174,6 +171,17 @@ class TestReadHistory:
         append_history(history_entry(REPORT, "t2"), path)
         entries = read_history(path)
         assert [entry["timestamp"] for entry in entries] == ["t1", "t2"]
+
+    def test_reads_committed_entries_with_a_soa_section(self):
+        """History is append-only: lines written while the removed soa
+        kernel existed keep parsing, soa section included."""
+        from repro.noc.bench import read_history
+
+        path = pathlib.Path(__file__).resolve().parents[1] / "BENCH_history.jsonl"
+        legacy = [e for e in read_history(path) if "soa" in e]
+        assert legacy[0]["timestamp"] == "2026-08-08T14:24:18Z"
+        assert legacy[0]["soa"]["empty-4x4"] == 1205840.1
+        assert legacy[0]["groups"]["fig07_low_soa"] == 2.1916
 
     def test_damaged_lines_skipped_with_warning(self, tmp_path):
         from repro.noc.bench import read_history

@@ -1,6 +1,6 @@
 """The compiled C cycle kernel: build machinery, fallback ladder, cache.
 
-The bit-identity of ``kernel="c"`` against the other three kernels is
+The bit-identity of ``kernel="c"`` against the other two kernels is
 pinned by ``tests/test_kernel_differential.py`` / ``test_golden_runs.py``
 / ``test_snapshot.py``; this file covers what is unique to the compiled
 kernel:
@@ -8,12 +8,13 @@ kernel:
 * the on-demand build: compiler discovery, the sha256-keyed shared-object
   cache (``REPRO_CKERNEL_CACHE``), and reuse across loads;
 * the degradation ladder: no compiler -> a *single* ``RuntimeWarning``
-  and a transparent, bit-identical fall back to the soa kernel; hooks or
-  faults -> per-step fall back to the event kernel (differential file);
+  and a transparent, bit-identical fall back to the event kernel; hooks
+  or faults -> per-step fall back to the event kernel (differential
+  file);
 * unsupported shapes (sub-cycle credit/link delays, too-wide routers)
   refuse cleanly instead of simulating wrongly;
 * ``python -m repro.noc.bench --kernel c`` skips loudly (exit 0, clear
-  message) on a compilerless host instead of mislabelling soa timings;
+  message) on a compilerless host instead of mislabelling event timings;
 * the :class:`SweepPoint` spec-hash rule: ``kernel="c"`` is part of the
   cache key, kernel-free rows in an existing store keep replaying.
 """
@@ -58,7 +59,8 @@ def no_compiler(monkeypatch):
     yield
 
 
-def _drive(net, cycles=60, rate=0.2, seed=5):
+def _drive(net, cycles=60, rate=0.2, seed=5, each=None):
+    """Inject seeded uniform traffic and step; ``each()`` after a step."""
     rng = random.Random(seed)
     num_nodes = net.topology.num_nodes
     for _ in range(cycles):
@@ -68,6 +70,8 @@ def _drive(net, cycles=60, rate=0.2, seed=5):
                 if dst != node:
                     net.enqueue(net.make_packet(node, dst))
         net.step()
+        if each is not None:
+            each()
 
 
 class TestBuildMachinery:
@@ -108,29 +112,36 @@ class TestBuildMachinery:
 
 
 class TestFallbackLadder:
-    def test_no_compiler_falls_back_to_soa_with_one_warning(self, no_compiler):
+    def test_no_compiler_falls_back_to_event_with_one_warning(
+        self, no_compiler
+    ):
         """kernel="c" on a compilerless host: exactly one RuntimeWarning
-        per process, then the soa kernel carries the run."""
+        per process, then the event kernel carries every cycle."""
         reset_packet_ids()
         net = build_network(layout_by_name("baseline", 3))
         net.use_kernel("c")
-        with pytest.warns(RuntimeWarning, match="falling back to the soa"):
+        with pytest.warns(
+            RuntimeWarning, match="falling back to the event kernel"
+        ) as caught:
             net.step()
+        assert len(caught) == 1
         assert net.kernel == "c", "the *requested* kernel is unchanged"
-        assert net.active_kernel == "soa"
+        assert net.active_kernel == "event"
         # Further steps and even further networks stay silent.
+        stepped = set()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _drive(net, cycles=30)
+            _drive(net, cycles=30, each=lambda: stepped.add(net.active_kernel))
             reset_packet_ids()
             other = build_network(layout_by_name("baseline", 2))
             other.use_kernel("c")
             other.step()
-        assert other.active_kernel == "soa"
+        assert other.active_kernel == "event"
+        assert stepped == {"event"}
         net.drain()
         assert net.total_buffered_flits() == 0
 
-    def test_no_compiler_run_matches_soa_bit_for_bit(self, no_compiler):
+    def test_no_compiler_run_matches_event_bit_for_bit(self, no_compiler):
         import sys
 
         sys.path.insert(0, "tests")
@@ -141,27 +152,82 @@ class TestFallbackLadder:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             degraded = _run_one("c", 3, "baseline", 0.2, 11, 80, 1024)
-        reference = _run_one("soa", 3, "baseline", 0.2, 11, 80, 1024)
-        _assert_same(reference, degraded, "c-degraded-to-soa")
+        reference = _run_one("event", 3, "baseline", 0.2, 11, 80, 1024)
+        _assert_same(reference, degraded, "c-degraded-to-event")
 
     @needs_ckernel
-    def test_sub_cycle_delays_refuse_cleanly(self):
+    def test_sub_cycle_delays_refuse_cleanly(self, monkeypatch):
         """credit_delay=0 breaks the C calendar ring; the kernel must
-        refuse (and the network degrade to soa) rather than mis-simulate."""
+        refuse, and the network degrade to event with one warning and
+        bit-identical results, rather than mis-simulate."""
+        import sys
+
         from repro.noc.ckernel import CKernel
 
-        reset_packet_ids()
+        sys.path.insert(0, "tests")
+        try:
+            from test_kernel_differential import _digest
+        finally:
+            sys.path.pop(0)
         topo = Mesh(3)
         configs = {r: RouterConfig() for r in range(topo.num_routers)}
-        net = Network(topo, configs, NetworkConfig(credit_delay=0, kernel="c"))
+
+        def run(kernel):
+            reset_packet_ids()
+            net = Network(
+                topo, configs, NetworkConfig(credit_delay=0, kernel=kernel)
+            )
+            stepped = set()
+            _drive(net, cycles=40, each=lambda: stepped.add(net.active_kernel))
+            return stepped, _digest(net)
+
+        reset_packet_ids()
         with pytest.raises(CKernelUnavailable, match="calendar"):
-            CKernel(net)
-        # The network-level ladder degrades to soa (sub-cycle credits
-        # are an event/soa-kernel concern either way, not the C ring's).
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            net.step()
-        assert net.active_kernel == "soa"
+            CKernel(Network(topo, configs, NetworkConfig(credit_delay=0)))
+        monkeypatch.setattr(ckernel, "_WARNED", False)
+        with pytest.warns(
+            RuntimeWarning, match="falling back to the event kernel"
+        ) as caught:
+            c_stepped, c_digest = run("c")
+        assert len(caught) == 1
+        assert c_stepped == {"event"}
+        assert run("event") == ({"event"}, c_digest)
+
+    @needs_ckernel
+    def test_too_wide_routers_refuse_cleanly(self, monkeypatch):
+        """More than 62 VCs overflow the kernel's 64-bit masks; the
+        kernel must refuse, and the network degrade to event with one
+        warning and bit-identical results."""
+        import sys
+
+        from repro.noc.ckernel import CKernel
+
+        sys.path.insert(0, "tests")
+        try:
+            from test_kernel_differential import _digest
+        finally:
+            sys.path.pop(0)
+        topo = Mesh(2)
+        configs = {r: RouterConfig(num_vcs=63) for r in range(topo.num_routers)}
+
+        def run(kernel):
+            reset_packet_ids()
+            net = Network(topo, configs, NetworkConfig(kernel=kernel))
+            stepped = set()
+            _drive(net, cycles=30, each=lambda: stepped.add(net.active_kernel))
+            return stepped, _digest(net)
+
+        reset_packet_ids()
+        with pytest.raises(CKernelUnavailable, match="limit 62"):
+            CKernel(Network(topo, configs, NetworkConfig()))
+        monkeypatch.setattr(ckernel, "_WARNED", False)
+        with pytest.warns(
+            RuntimeWarning, match="falling back to the event kernel"
+        ) as caught:
+            c_stepped, c_digest = run("c")
+        assert len(caught) == 1
+        assert c_stepped == {"event"}
+        assert run("event") == ({"event"}, c_digest)
 
     @needs_ckernel
     def test_explicit_rerequest_retries_activation(self):
@@ -172,7 +238,7 @@ class TestFallbackLadder:
         net.use_kernel("c")
         net._ck_blocked = True  # as if a prior activation failed
         net.step()
-        assert net.active_kernel == "soa"
+        assert net.active_kernel == "event"
         net.use_kernel("c")  # explicit re-request clears the block
         net.step()
         assert net.active_kernel == "c"
@@ -223,7 +289,7 @@ class TestBenchSkipPath:
         assert "c" in report
         assert "empty-4x4" in report["c"]
         assert "speedup_c_vs_event" in report
-        assert "speedup_c_vs_soa" in report
+        assert "soa" not in report
 
 
 class TestSpecHashRule:

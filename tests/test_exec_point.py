@@ -14,6 +14,7 @@ import pickle
 import pytest
 
 from repro.exec import SPEC_VERSION, PointResult, SweepPoint
+from repro.noc.ckernel import ckernel_available
 
 #: the golden-run UR spec's key, computed once and pinned as a literal.
 #: If this changes, every cached result on every machine silently
@@ -139,7 +140,7 @@ class TestNetworkConstruction:
         assert PINNED_POINT.kernel is None
         assert network.kernel == "event"
 
-    @pytest.mark.parametrize("kernel", ["naive", "event", "soa"])
+    @pytest.mark.parametrize("kernel", ["naive", "event", "c"])
     def test_kernel_override_reaches_network(self, kernel):
         point = dataclasses.replace(PINNED_POINT, kernel=kernel)
         network = point.build_network()
@@ -150,12 +151,14 @@ class TestNetworkConstruction:
         positions) must route through the kernel override."""
         point = SweepPoint(
             layout=None, big_positions=(0, 5, 10, 15), mesh_size=4,
-            kernel="soa",
+            kernel="c",
         )
         network = point.build_network()
-        assert network.kernel == "soa"
+        assert network.kernel == "c"
         network.step()  # activation is lazy: first step engages the kernel
-        assert network.soa_active
+        assert network.active_kernel == (
+            "c" if ckernel_available() else "event"
+        )
 
 
 class TestPointResult:

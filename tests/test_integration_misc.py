@@ -2,6 +2,8 @@
 self-similar injection through the network, CMP memory-controller
 placements, and the asymmetric-CMP harness on a small mesh."""
 
+import os
+
 import pytest
 
 from repro.cmp.cache import CacheConfig
@@ -110,6 +112,52 @@ class TestAsymmetricHarnessSmall:
 class TestRunAllCli:
     def test_dispatch_unknown(self):
         assert run_all.main(["not-an-experiment"]) == 2
+
+    def test_help_runs_nothing(self, capsys, monkeypatch):
+        ran = []
+        monkeypatch.setattr(
+            run_all, "HARNESSES",
+            {name: ran.append for name in run_all.HARNESSES},
+        )
+        assert run_all.main(["--help"]) == 0
+        out = capsys.readouterr().out
+        assert "usage:" in out and "--kernel" in out
+        assert ran == []
+
+    def test_unknown_flag_exits_2(self, capsys):
+        assert run_all.main(["--fulll", "table1"]) == 2
+        captured = capsys.readouterr()
+        assert "unrecognized arguments: --fulll" in captured.err
+        assert "Table 1" not in captured.out
+
+    def test_removed_soa_kernel_exits_2(self, capsys):
+        assert run_all.main(["--kernel", "soa", "table1"]) == 2
+        captured = capsys.readouterr()
+        assert "invalid choice: 'soa'" in captured.err
+        assert "Table 1" not in captured.out
+
+    def test_bad_jobs_exits_2(self, capsys):
+        assert run_all.main(["--jobs", "0", "table1"]) == 2
+        captured = capsys.readouterr()
+        assert "needs a positive integer, got '0'" in captured.err
+        assert "Table 1" not in captured.out
+
+    def test_names_and_flags_interleave(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(
+            run_all, "HARNESSES",
+            {
+                name: (lambda fast, name=name: ran.append((name, fast)))
+                for name in run_all.HARNESSES
+            },
+        )
+        # setenv (not delenv) so teardown undoes the os.environ write
+        # that main() makes for --kernel, even when the variable was unset.
+        monkeypatch.setenv("REPRO_KERNEL", "event")
+        argv = ["table1", "--kernel", "naive", "fig01", "--full"]
+        assert run_all.main(argv) == 0
+        assert ran == [("table1", False), ("fig01", False)]
+        assert os.environ["REPRO_KERNEL"] == "naive"
 
     def test_dispatch_single(self, capsys):
         assert run_all.main(["table1"]) == 0

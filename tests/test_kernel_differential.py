@@ -1,15 +1,14 @@
-"""Differential testing: the four cycle kernels against each other.
+"""Differential testing: the three cycle kernels against each other.
 
-:meth:`Network.step` can be driven by four kernels -- the event-driven
-active-set kernel (default), the structure-of-arrays batch kernel
-(``repro.noc.soa``), the compiled C kernel (``repro.noc.ckernel``,
+:meth:`Network.step` can be driven by three kernels -- the event-driven
+active-set kernel (default), the compiled C kernel (``repro.noc.ckernel``,
 skipped here only when no C compiler exists) and the retained full-scan
 reference stepper -- and they must be *bit-identical*: same flit
 movements, same arbitration pointer evolution, same activity counters,
-same delivered packets, every cycle.  These tests drive all four over a
+same delivered packets, every cycle.  These tests drive all three over a
 randomized matrix of mesh sizes, layouts, injection rates, payload
 sizes and seeds (plus faulty and observed configurations, which
-exercise the soa and c kernels' automatic fallback) and compare a deep
+exercise the c kernel's automatic fallback) and compare a deep
 per-cycle digest of the complete simulation state.  Mid-run kernel
 switches mirror ``tests/test_active_set.py``: flipping kernels while
 wormholes are in flight must not perturb a single bit.
@@ -17,6 +16,7 @@ wormholes are in flight must not perturb a single bit.
 
 import os
 import random
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -27,7 +27,7 @@ from repro.noc.ckernel import ckernel_available, unavailable_reason
 from repro.noc.config import NetworkConfig
 from repro.noc.flit import reset_packet_ids
 
-KERNELS = NetworkConfig.KERNELS  # ("event", "soa", "naive", "c")
+KERNELS = NetworkConfig.KERNELS  # ("event", "naive", "c")
 
 #: skip-or-run marker for tests that *require* the compiled kernel: on a
 #: compilerless host they skip (the fallback ladder has its own tests in
@@ -151,12 +151,12 @@ def _assert_same(reference, other, name):
     seed=st.integers(min_value=0, max_value=2**16),
     payload_bits=st.sampled_from([64, 1024]),
 )
-def test_four_kernels_bit_identical(mesh_size, layout, rate, seed, payload_bits):
+def test_three_kernels_bit_identical(mesh_size, layout, rate, seed, payload_bits):
     cycles = 120
     event = _run_one(
         "event", mesh_size, layout, rate, seed, cycles, payload_bits
     )
-    others = ["soa", "naive"]
+    others = ["naive"]
     if ckernel_available():
         others.append("c")
     for name in others:
@@ -167,23 +167,22 @@ def test_four_kernels_bit_identical(mesh_size, layout, rate, seed, payload_bits)
 
 
 @pytest.mark.parametrize("layout", ["baseline", "diagonal+B", "diagonal+BL"])
-def test_four_kernels_loaded_smoke(layout):
+def test_three_kernels_loaded_smoke(layout):
     """One fixed loaded point per layout, all kernels (fast determinism
-    check that runs without hypothesis -- the CI soa-/ckernel-smoke
-    subset).  On a compilerless host the ``"c"`` run transparently
-    degrades to soa, which must *still* be bit-identical."""
+    check that runs without hypothesis -- the CI ckernel-smoke subset).
+    On a compilerless host the ``"c"`` run transparently degrades to
+    event, which must *still* be bit-identical."""
     runs = {
         name: _run_one(name, 4, layout, 0.20, 1234, 150, 1024)
         for name in KERNELS
     }
-    _assert_same(runs["event"], runs["soa"], "soa")
     _assert_same(runs["event"], runs["naive"], "naive")
     _assert_same(runs["event"], runs["c"], "c")
 
 
-@pytest.mark.parametrize("kernel", ["naive", "soa", "c"])
+@pytest.mark.parametrize("kernel", ["naive", "c"])
 def test_kernels_match_event_under_faults(kernel):
-    """Faulty runs: naive really steps, a requested soa or c kernel
+    """Faulty runs: naive really steps, a requested c kernel
     transparently falls back to the event kernel -- all must match it
     bit-for-bit."""
     from repro.faults.schedule import FaultSchedule, FaultSpec
@@ -208,9 +207,8 @@ def test_kernels_match_event_under_faults(kernel):
             0.08, seed=11, faults=faults,
             warmup_packets=80, measure_packets=300,
         )
-        if name in ("soa", "c"):
+        if name == "c":
             # Dynamic (fault-aware) routing forces the fallback.
-            assert net.soa_active is False
             assert net.active_kernel == "event"
         stats = net.stats
         return (
@@ -236,7 +234,7 @@ def test_switching_kernels_mid_run_is_safe():
     rng = random.Random(7)
     num_nodes = net.topology.num_nodes
     offered = 0
-    schedule = {60: "soa", 120: "naive", 180: "c", 240: "event"}
+    schedule = {60: "c", 120: "naive", 180: "c", 240: "event"}
     for step_index in range(300):
         if step_index in schedule:
             net.use_kernel(schedule[step_index])
@@ -252,7 +250,7 @@ def test_switching_kernels_mid_run_is_safe():
     assert net.total_buffered_flits() == 0
 
 
-@pytest.mark.parametrize("pivot", ["soa", "naive", _kernel_param("c")])
+@pytest.mark.parametrize("pivot", ["naive", _kernel_param("c")])
 def test_mid_run_switch_is_bit_identical(pivot):
     """A kernel hand-off mid-wormhole must not perturb a single bit:
     event-for-the-whole-run == switch-away-and-back."""
@@ -281,81 +279,72 @@ def test_mid_run_switch_is_bit_identical(pivot):
 
 
 def test_kernel_env_overrides():
-    """REPRO_KERNEL selects the kernel at construction; the legacy
-    REPRO_NAIVE_STEP=1 still wins for backwards compatibility."""
+    """REPRO_KERNEL selects the kernel at construction, over the config
+    field."""
     try:
         os.environ["REPRO_KERNEL"] = "c"
         reset_packet_ids()
         net = build_network(layout_by_name("baseline", 2))
         assert net.kernel == "c"
-        assert net.naive_step is False
-        os.environ["REPRO_KERNEL"] = "soa"
-        reset_packet_ids()
-        net = build_network(layout_by_name("baseline", 2))
-        assert net.kernel == "soa"
-        assert net.naive_step is False
-        os.environ["REPRO_NAIVE_STEP"] = "1"
+        os.environ["REPRO_KERNEL"] = "naive"
         reset_packet_ids()
         net = build_network(layout_by_name("baseline", 2))
         assert net.kernel == "naive"
-        assert net.naive_step is True
         # Dynamic lookups only: no precomputed tables in naive mode.
         assert all(r._route_table is None for r in net.routers)
     finally:
         del os.environ["REPRO_KERNEL"]
-        del os.environ["REPRO_NAIVE_STEP"]
     reset_packet_ids()
     net = build_network(layout_by_name("baseline", 2))
     assert net.kernel == "event"
     assert all(r._route_table is not None for r in net.routers)
 
 
-def test_unknown_kernel_rejected():
-    with pytest.raises(ValueError, match="kernel"):
-        NetworkConfig(kernel="vectorized")
+def test_duplicate_kernel_switches_are_gone(monkeypatch):
+    """``use_kernel()`` and ``REPRO_KERNEL`` are the only run-time
+    switches: the ``naive_step`` property, the ``kernel`` setter and the
+    ``REPRO_NAIVE_STEP`` env override no longer exist."""
+    monkeypatch.delenv("REPRO_KERNEL", raising=False)
+    monkeypatch.setenv("REPRO_NAIVE_STEP", "1")
     reset_packet_ids()
     net = build_network(layout_by_name("baseline", 2))
-    with pytest.raises(ValueError, match="unknown kernel"):
-        net.use_kernel("vectorized")
-    os.environ["REPRO_KERNEL"] = "bogus"
-    try:
-        with pytest.raises(ValueError):
-            build_network(layout_by_name("baseline", 2))
-    finally:
-        del os.environ["REPRO_KERNEL"]
+    assert net.kernel == "event"
+    assert not hasattr(net, "naive_step")
+    with pytest.raises(AttributeError):
+        net.kernel = "naive"
+    net.use_kernel("naive")
+    assert (net.kernel, net.active_kernel) == ("naive", "naive")
 
 
-def test_soa_falls_back_when_hooks_attached():
-    """Observation hooks and watchdogs need per-flit callbacks: a
-    requested soa kernel must hand the cycle back to the event kernel
-    while they are attached, and resume batching when detached."""
-    from repro.faults import Watchdog
+def test_unknown_kernel_rejected(monkeypatch):
+    """Every way of naming a kernel rejects unknown names -- including
+    the removed ``"soa"`` -- with an error that lists the three kernels."""
+    from repro.exec import SweepPoint
+    from repro.search.refine import placement_points
 
+    names = re.escape(str(KERNELS))
     reset_packet_ids()
-    net = build_network(layout_by_name("baseline", 3))
-    net.use_kernel("soa")
-    net.enqueue(net.make_packet(0, 8))
-    net.step()
-    assert net.soa_active is True
-
-    watchdog = Watchdog(stall_window=10_000, check_interval=64)
-    net.attach_watchdog(watchdog)
-    net.step()
-    assert net.soa_active is False, "watchdog must force the event kernel"
-    assert net.kernel == "soa", "the *requested* kernel is unchanged"
-    net.detach_watchdog()
-    net.step()
-    assert net.soa_active is True, "fallback must lift on detach"
-    net.drain()
-    assert net.total_delivered == 1
-    assert net.total_buffered_flits() == 0
+    net = build_network(layout_by_name("baseline", 2))
+    for bad in ("vectorized", "soa"):
+        with pytest.raises(ValueError, match=names):
+            NetworkConfig(kernel=bad)
+        with pytest.raises(ValueError, match=f"unknown kernel.*{names}"):
+            net.use_kernel(bad)
+        with pytest.raises(ValueError, match=names):
+            SweepPoint(layout="baseline", mesh_size=2, kernel=bad)
+        with pytest.raises(ValueError, match=names):
+            placement_points([(0,)], 2, kernel=bad)
+        monkeypatch.setenv("REPRO_KERNEL", bad)
+        with pytest.raises(ValueError, match=names):
+            build_network(layout_by_name("baseline", 2))
+        monkeypatch.delenv("REPRO_KERNEL")
 
 
 @needs_ckernel
 def test_ckernel_falls_back_when_hooks_attached():
-    """Same contract as the soa fallback: a requested c kernel hands the
-    cycle to the event kernel while a watchdog is attached, and resumes
-    compiled stepping when detached."""
+    """Observation hooks and watchdogs need per-flit callbacks: a
+    requested c kernel hands the cycle to the event kernel while a
+    watchdog is attached, and resumes compiled stepping when detached."""
     from repro.faults import Watchdog
 
     reset_packet_ids()

@@ -279,7 +279,7 @@ class TestTableRouting:
 class TestRouteTables:
     """``build_route_tables``: the precomputed routing tensors.
 
-    The network (and the structure-of-arrays kernel, which refuses to
+    The network (and the compiled C kernel, which refuses to
     run without them) installs ``tables[router][dst] -> out_port`` when
     the discipline is a pure function of (router, destination).  These
     tests pin which disciplines publish tables, that every entry agrees

@@ -450,7 +450,7 @@ class TestRunAllFlags:
         from repro.experiments.run_all import main
 
         assert main(["--submit"]) == 2
-        assert "needs a value" in capsys.readouterr().out
+        assert "expected one argument" in capsys.readouterr().err
 
 
 class TestEngineHooks:

@@ -5,7 +5,7 @@ The crash-safety contract of :mod:`repro.noc.snapshot`:
 * restoring a snapshot and continuing reproduces an uninterrupted run
   *exactly* -- same deep per-cycle state digests (the differential
   harness from ``test_kernel_differential``), same delivered-packet
-  records, for all four cycle kernels;
+  records, for all three cycle kernels;
 * the binary container detects truncation, bit flips, bad magic and
   format-version skew loudly (``SnapshotCorrupt`` /
   ``SnapshotVersionMismatch``) instead of half-restoring;
@@ -43,7 +43,7 @@ from repro.traffic.patterns import pattern_by_name
 from repro.traffic.runner import run_synthetic
 from tests.test_kernel_differential import _digest
 
-KERNELS = NetworkConfig.KERNELS  # ("event", "soa", "naive")
+KERNELS = NetworkConfig.KERNELS  # ("event", "naive", "c")
 
 
 def _fresh_network(kernel, mesh_size=4, layout="baseline"):
