@@ -75,6 +75,17 @@ class FaultInjector:
         self._timeline: List[Tuple[int, int, str, int]] = []
         self._seq = 0
         self._routing = None
+        #: The per-packet location index ``Network.purge_packet`` walks
+        #: instead of the whole network.  ``packet_inputs[pid]`` lists
+        #: the input VCs ``(router, port, vc)`` the packet's head flit
+        #: was written into (wormhole flow keeps its body flits in
+        #: those VCs), ``packet_claims[pid]`` the downstream VCs
+        #: ``(router, out_port, out_vc)`` it claimed in VA.  Both are
+        #: supersets: entries are dropped only when the packet is
+        #: purged or delivered.  Kept while the injector is attached;
+        #: ``Network.attach_faults`` seeds them from the live state.
+        self.packet_inputs: Dict[int, List[Tuple[int, int, int]]] = {}
+        self.packet_claims: Dict[int, List[Tuple[int, int, int]]] = {}
         self._validate_specs()
         for index, spec in enumerate(schedule.specs):
             if spec.mode == "permanent":
@@ -126,6 +137,45 @@ class FaultInjector:
     def set_routing(self, routing) -> None:
         """Give the injector the fault-aware routing for reachability."""
         self._routing = routing
+
+    # -- per-packet location index ---------------------------------------------
+    def note_input(self, packet_id: int, router: int, port: int, vc: int) -> None:
+        """Record that a head flit was written into an input VC."""
+        self.packet_inputs.setdefault(packet_id, []).append((router, port, vc))
+
+    def note_claim(self, packet_id: int, router: int, port: int, vc: int) -> None:
+        """Record that a packet claimed a downstream VC in VA."""
+        self.packet_claims.setdefault(packet_id, []).append((router, port, vc))
+
+    def forget_packet(self, packet_id: int) -> None:
+        """Drop a packet's index entries (it was delivered)."""
+        self.packet_inputs.pop(packet_id, None)
+        self.packet_claims.pop(packet_id, None)
+
+    def seed_index(self, network) -> None:
+        """Rebuild the index with one full scan of ``network``.
+
+        Covers packets already in flight when the injector is attached:
+        every buffered flit, every input VC still carrying a packet's
+        routing state and every claimed downstream VC.  Flits on links
+        need no entry -- their heads are recorded on arrival, and
+        ``purge_packet`` scans the link events itself.
+        """
+        self.packet_inputs = {}
+        self.packet_claims = {}
+        for router in network.routers:
+            rid = router.router_id
+            for port, states in enumerate(router._vc_states):
+                for vc, state in enumerate(states):
+                    pids = {flit.packet.packet_id for flit in state.queue}
+                    if state.packet_id is not None:
+                        pids.add(state.packet_id)
+                    for pid in pids:
+                        self.note_input(pid, rid, port, vc)
+            for port, owners in enumerate(router.out_vc_owner):
+                for vc, owner in enumerate(owners):
+                    if owner is not None:
+                        self.note_claim(owner, rid, port, vc)
 
     # -- queries used on simulator fast paths ---------------------------------
     def any_dead(self) -> bool:

@@ -32,19 +32,26 @@ while per-trip routing state is reset.
 
 from __future__ import annotations
 
+import heapq
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 
 class _Outstanding:
-    """Tracking record for one unacknowledged packet."""
+    """Tracking record for one unacknowledged packet.
 
-    __slots__ = ("packet", "attempts", "deadline", "timeout")
+    ``order`` is the packet id's position in the outstanding table
+    (see :meth:`RetransmissionManager._track`).
+    """
+
+    __slots__ = ("packet", "attempts", "deadline", "timeout", "order")
 
     def __init__(self, packet, deadline: int, timeout: int) -> None:
         self.packet = packet
         self.attempts = 1
         self.deadline = deadline
         self.timeout = timeout
+        self.order = 0
 
 
 class RetransmissionManager:
@@ -73,6 +80,12 @@ class RetransmissionManager:
         self.max_retries = max_retries
         self.backoff_factor = backoff_factor
         self._outstanding: Dict[int, _Outstanding] = {}
+        #: min-heap of ``(deadline, push sequence, entry)`` over
+        #: ``_outstanding``; an entry that left the table stays until it
+        #: is popped and is skipped then, so ``tick`` costs O(expired).
+        self._deadlines: List[Tuple[int, int, _Outstanding]] = []
+        self._pushes = 0
+        self._next_order = 0
         #: packets ready to re-enter their source queue next tick
         self._retry_queue: List = []
         self.retransmissions = 0
@@ -90,10 +103,11 @@ class RetransmissionManager:
         if not accepted:
             # Source queue full (closed-loop drop): nothing to track.
             return False
-        entry = _Outstanding(
-            packet, self.network.cycle + self.timeout, self.timeout
+        self._track(
+            _Outstanding(
+                packet, self.network.cycle + self.timeout, self.timeout
+            )
         )
-        self._outstanding[packet.packet_id] = entry
         faults = self.network.faults
         if faults is not None:
             topo = self.network.topology
@@ -146,19 +160,38 @@ class RetransmissionManager:
             retries, self._retry_queue = self._retry_queue, []
             for packet in retries:
                 self._resend(packet, cycle)
-        if not self._outstanding:
-            return
-        expired = [
-            entry
-            for entry in self._outstanding.values()
-            if cycle >= entry.deadline
-        ]
+        deadlines = self._deadlines
+        outstanding = self._outstanding
+        expired = []
+        while deadlines and deadlines[0][0] <= cycle:
+            entry = heapq.heappop(deadlines)[2]
+            if outstanding.get(entry.packet.packet_id) is entry:
+                expired.append(entry)
+        # Expire in table order, as a scan of ``_outstanding`` would.
+        expired.sort(key=attrgetter("order"))
         for entry in expired:
             # Timeout doubles as deadlock recovery: purge whatever is
             # left of the packet inside the network before resending.
             self._retry(entry, cycle, purge=True)
 
     # -- internals -------------------------------------------------------------
+    def _track(self, entry: _Outstanding) -> None:
+        """Put ``entry`` in the outstanding table and the deadline heap.
+
+        ``order`` mirrors dict iteration order: a new packet id goes
+        last, while replacing a tracked id keeps that id's place.
+        """
+        pid = entry.packet.packet_id
+        previous = self._outstanding.get(pid)
+        if previous is None:
+            entry.order = self._next_order
+            self._next_order += 1
+        else:
+            entry.order = previous.order
+        self._outstanding[pid] = entry
+        heapq.heappush(self._deadlines, (entry.deadline, self._pushes, entry))
+        self._pushes += 1
+
     def _retry(self, entry: _Outstanding, cycle: int, purge: bool) -> None:
         packet = entry.packet
         if purge:
@@ -193,13 +226,13 @@ class RetransmissionManager:
                 packet, cycle + packet.retry_timeout, packet.retry_timeout
             )
             entry.attempts = attempts
-            self._outstanding[packet.packet_id] = entry
+            self._track(entry)
             return
         entry = _Outstanding(
             packet, cycle + packet.retry_timeout, packet.retry_timeout
         )
         entry.attempts = packet.retry_attempts
-        self._outstanding[packet.packet_id] = entry
+        self._track(entry)
         self.retransmissions += 1
         if not self.network.enqueue(packet, retransmit=True):
             # Source queue full: try again next cycle.

@@ -426,11 +426,14 @@ class Network:
 
         Precomputed routing tables are cleared: under faults, route
         computation must stay dynamic so rerouting around dead channels
-        can take effect.
+        can take effect.  The injector's per-packet location index is
+        seeded from the packets already in flight.
         """
+        self._deactivate_ck()
         self.faults = injector
         for router in self.routers:
             router.faults = injector
+        injector.seed_index(self)
         self._install_routing_tables()
 
     def detach_faults(self) -> None:
@@ -969,6 +972,8 @@ class Network:
         packet.received_at = cycle
         self.packets_in_flight -= 1
         self.total_delivered += 1
+        if self.faults is not None:
+            self.faults.forget_packet(packet.packet_id)
         if packet.corrupted:
             # A bit-flip fault mangled this packet in transit: the
             # destination NI discards it, so it contributes to no stats;
@@ -1045,63 +1050,73 @@ class Network:
         injector for packets damaged by a kill, and by the NI
         retransmission timeout as recovery from wedged wormholes.
 
+        The cost is O(hops), not O(network): only the input VCs and VC
+        claims in the attached injector's per-packet location index
+        are visited, plus the packet's source and the pending link and
+        credit events.  Without an attached injector there is no index,
+        so the call raises.
+
         Returns ``True`` when any trace was found (and one in-flight
         packet was therefore retired); a second purge of the same packet
         is a no-op.
         """
+        faults = self.faults
+        if faults is None:
+            raise RuntimeError(
+                "purge_packet needs an attached fault injector: its "
+                "per-packet location index says where the packet is"
+            )
         self._deactivate_ck()
         pid = packet.packet_id
         topo = self.topology
+        routers = self.routers
         found = False
 
         source = self.sources[packet.src]
-        if packet in source.queue:
-            source.queue.remove(packet)
-            found = True
+        # Identity, not Packet.__eq__: a field-by-field compare per
+        # queued packet dominated this lookup.
+        for position, queued in enumerate(source.queue):
+            if queued is packet:
+                del source.queue[position]
+                found = True
+                break
         if source.flits and source.flits[0].packet is packet:
             source.flits = []
             source.next_flit = 0
             source.vc = None
             found = True
 
-        for router in self.routers:
-            rid = router.router_id
-            for (port, vc) in list(router._active):
-                state = router._vc_states[port][vc]
-                before = len(state.queue)
-                if any(f.packet is packet for f in state.queue):
-                    kept = [f for f in state.queue if f.packet is not packet]
-                    state.queue.clear()
-                    state.queue.extend(kept)
-                removed = before - len(state.queue)
-                if removed:
-                    found = True
-                    router.occupied_flits -= removed
-                    if not state.queue and router._active.pop(
-                        (port, vc), None
+        # Every input VC the packet's head entered.  Reset the routing
+        # state too, not just the buffered flits: a mid-wormhole input VC
+        # whose flits have all been forwarded sits empty but still
+        # carries the packet's id, route and downstream claim.
+        # Retransmission reuses packet ids, so a stale state would make
+        # the resent packet skip RC/VA and stream onto a VC it no longer
+        # owns.
+        for rid, port, vc in faults.packet_inputs.pop(pid, ()):
+            router = routers[rid]
+            state = router._vc_states[port][vc]
+            queue = state.queue
+            if queue and any(f.packet is packet for f in queue):
+                kept = [f for f in queue if f.packet is not packet]
+                removed = len(queue) - len(kept)
+                queue.clear()
+                queue.extend(kept)
+                found = True
+                router.occupied_flits -= removed
+                if not queue and router._active.pop((port, vc), None):
+                    router._port_active[port] -= 1
+                if not topo.is_local_port(rid, port):
+                    upstream = topo.neighbor(rid, port)
+                    if upstream is not None and self._element_alive(
+                        *upstream
                     ):
-                        router._port_active[port] -= 1
-                    if not topo.is_local_port(rid, port):
-                        upstream = topo.neighbor(rid, port)
-                        if upstream is not None and self._element_alive(
-                            *upstream
-                        ):
-                            up_router, up_port = upstream
-                            for _ in range(removed):
-                                self.routers[up_router].return_credit(
-                                    up_port, vc
-                                )
-            # Reset *every* VC state the packet owns, not just the active
-            # (non-empty) ones scanned above: a mid-wormhole input VC whose
-            # flits have all been forwarded sits empty but still carries
-            # the packet's id, route and downstream claim.  Retransmission
-            # reuses packet ids, so a stale state would make the resent
-            # packet skip RC/VA and stream onto a VC it no longer owns.
-            for port in range(router.num_ports):
-                for vc in range(router.config.num_vcs):
-                    if router._vc_states[port][vc].packet_id == pid:
-                        router._vc_states[port][vc].reset_packet()
-                        found = True
+                        up_router, up_port = upstream
+                        for _ in range(removed):
+                            routers[up_router].return_credit(up_port, vc)
+            if state.packet_id == pid:
+                state.reset_packet()
+                found = True
 
         for when in list(self._arrivals):
             events = self._arrivals[when]
@@ -1114,7 +1129,7 @@ class Network:
                 found = True
                 upstream = topo.neighbor(router_id, port)
                 if upstream is not None and self._element_alive(*upstream):
-                    self.routers[upstream[0]].return_credit(upstream[1], vc)
+                    routers[upstream[0]].return_credit(upstream[1], vc)
             if kept_events:
                 self._arrivals[when] = kept_events
             else:
@@ -1122,15 +1137,21 @@ class Network:
 
         # Release the packet's downstream VC claims, and defuse any
         # in-flight release events aimed at those claims so they cannot
-        # free a VC a *new* packet wins in the meantime.
+        # free a VC a *new* packet wins in the meantime.  A claim whose
+        # release event is already pending may belong to a delivered
+        # trip whose index entry is gone, so those events are checked
+        # against the owner too.
         released = set()
-        for router in self.routers:
-            for port in range(router.num_ports):
-                owners = router.out_vc_owner[port]
-                for vc, owner in enumerate(owners):
-                    if owner == pid:
-                        owners[vc] = None
-                        released.add((router.router_id, port, vc))
+        claims = faults.packet_claims.pop(pid, [])
+        for events in self._credits.values():
+            claims.extend(
+                (rid, port, vc) for rid, port, vc, release in events if release
+            )
+        for rid, port, vc in claims:
+            owners = routers[rid].out_vc_owner[port]
+            if owners[vc] == pid:
+                owners[vc] = None
+                released.add((rid, port, vc))
         if released:
             for when, events in self._credits.items():
                 self._credits[when] = [

@@ -198,6 +198,12 @@ class Router:
             )
         flit.ready_at = cycle + self._pipeline_offset
         state.queue.append(flit)
+        if self.faults is not None and flit.is_head:
+            # Index the VC for Network.purge_packet: the rest of the
+            # wormhole follows the head into this VC.
+            self.faults.note_input(
+                flit.packet.packet_id, self.router_id, port, vc
+            )
         if (port, vc) not in self._active:
             self._active[(port, vc)] = True
             self._port_active[port] += 1
@@ -287,6 +293,10 @@ class Router:
                 owners = out_vc_owner[cand_port]
                 if owners[cand_vc] is None:
                     owners[cand_vc] = packet.packet_id
+                    if faults is not None:
+                        faults.note_claim(
+                            packet.packet_id, router_id, cand_port, cand_vc
+                        )
                     state.out_vc = cand_vc
                     if escaped:
                         packet.on_escape = True

@@ -46,7 +46,7 @@ from typing import Dict, Optional
 from repro.noc.flit import packet_id_marker, seed_packet_ids
 
 #: bump when the container layout or the pickled payload schema changes.
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 _MAGIC = b"RNOCSNAP"
 #: magic(8s) version(I) payload_len(Q) sha256(32s)
